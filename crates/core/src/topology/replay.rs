@@ -12,7 +12,7 @@ use crate::action::UserAction;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tdaccess::{AccessCluster, Consumer, Message, PartitionId};
+use tdaccess::{AccessCluster, Consumer, Message, PartitionId, WatchGuard};
 use tstorm::prelude::*;
 
 /// Packs a `(partition, offset)` source anchor into the one `u64` that
@@ -277,6 +277,9 @@ pub struct ReplayableSpout {
     start_offsets: Vec<(PartitionId, u64)>,
     /// Mirrors committed watermarks for the worker's offset commits.
     offsets: Option<Arc<OffsetTable>>,
+    /// Wakes the task on appends to the topic; lives as long as
+    /// `consumer` and is dropped with it.
+    watch: Option<WatchGuard>,
 }
 
 impl ReplayableSpout {
@@ -302,6 +305,7 @@ impl ReplayableSpout {
             pinned: None,
             start_offsets: Vec::new(),
             offsets: None,
+            watch: None,
         }
     }
 
@@ -446,8 +450,16 @@ impl ReplayableSpout {
 }
 
 impl Spout for ReplayableSpout {
-    fn open(&mut self, _ctx: &TaskContext) {
+    fn open(&mut self, ctx: &TaskContext) {
         self.connect();
+        // Appends by producers of this cluster wake the task at once; a
+        // producer in another process is only seen by the idle backoff.
+        if let Some(waker) = ctx.waker.clone() {
+            self.watch = Some(
+                self.cluster
+                    .watch(&self.topic, Arc::new(move || waker.wake())),
+            );
+        }
     }
 
     fn next_tuple(&mut self, collector: &mut SpoutCollector) -> bool {
@@ -481,6 +493,7 @@ impl Spout for ReplayableSpout {
         // Dropping the consumer leaves the group, handing partitions to
         // surviving members.
         self.consumer = None;
+        self.watch = None;
     }
 
     fn declare_outputs(&self) -> Vec<StreamDef> {
@@ -508,6 +521,34 @@ mod tests {
                 .unwrap();
         }
         cluster
+    }
+
+    #[test]
+    fn open_watches_the_topic_and_close_unwatches() {
+        let cluster = cluster_with("t", 2, 0);
+        let producer = cluster.producer("t").unwrap();
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let ctx = TaskContext {
+            component: "actions".into(),
+            task_index: 0,
+            n_tasks: 1,
+            waker: Some(SpoutWaker::new(tx)),
+        };
+        for _ in 0..100 {
+            let mut spout = ReplayableSpout::new(cluster.clone(), "t", "g", Arc::default());
+            spout.open(&ctx);
+            assert_eq!(cluster.watcher_count("t"), 1);
+            spout.close();
+        }
+        // A spout dropped without `close` (a crashed task) unwatches too.
+        let mut spout = ReplayableSpout::new(cluster.clone(), "t", "g", Arc::default());
+        spout.open(&ctx);
+        producer.send(None, b"x").unwrap();
+        producer.send(None, b"y").unwrap();
+        assert!(matches!(rx.try_recv(), Ok(tstorm::ack::SpoutMsg::Wake)));
+        assert!(rx.try_recv().is_err(), "an unread wake absorbs the next");
+        drop(spout);
+        assert_eq!(cluster.watcher_count("t"), 0);
     }
 
     #[test]

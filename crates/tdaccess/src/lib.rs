@@ -15,6 +15,9 @@
 //!   the paper's "unconditional availability".
 //! * Consumer groups track per-partition offsets; within a partition,
 //!   delivery order equals append order.
+//! * [`AccessCluster::watch`] registers a callback that producers run
+//!   after each append to a topic, so an idle consumer can wait for data
+//!   instead of polling on a timer.
 //!
 //! ```
 //! use tdaccess::{AccessCluster, ClusterConfig};
@@ -35,6 +38,7 @@ mod master;
 mod message;
 mod producer;
 mod segment;
+mod watch;
 
 pub use broker::{Broker, BrokerId};
 pub use consumer::Consumer;
@@ -43,9 +47,12 @@ pub use master::{MasterServer, MasterState, PartitionId, TopicMeta};
 pub use message::Message;
 pub use producer::Producer;
 pub use segment::{Partition, Segment, SegmentConfig};
+pub use watch::{AppendWatcher, WatchGuard};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
 use std::sync::Arc;
+use watch::TopicWatchers;
 
 /// Cluster-wide configuration.
 #[derive(Debug, Clone)]
@@ -88,6 +95,8 @@ struct ClusterInner {
     segment: SegmentConfig,
     fault_plan: tchaos::FaultPlan,
     metrics: obs::Registry,
+    /// Append watchers per topic name, created on first use.
+    watchers: Mutex<HashMap<String, Arc<TopicWatchers>>>,
 }
 
 impl AccessCluster {
@@ -110,6 +119,7 @@ impl AccessCluster {
                 segment: config.segment,
                 fault_plan: config.fault_plan,
                 metrics: config.metrics,
+                watchers: Mutex::new(HashMap::new()),
             }),
         }
     }
@@ -185,6 +195,31 @@ impl AccessCluster {
             worker_index as u64,
             Some(pinned),
         ))
+    }
+
+    /// Registers `watcher` to run after every successful append to
+    /// `topic` by any producer of this cluster, until the returned guard
+    /// is dropped. The topic need not exist yet. Appends made by another
+    /// process (another `AccessCluster` over the same spill directory)
+    /// are not seen.
+    pub fn watch(&self, topic: &str, watcher: AppendWatcher) -> WatchGuard {
+        WatchGuard::new(self.topic_watchers(topic), watcher)
+    }
+
+    /// Number of append watches currently registered on `topic`.
+    pub fn watcher_count(&self, topic: &str) -> usize {
+        self.inner.watchers.lock().get(topic).map_or(0, |w| w.len())
+    }
+
+    /// The shared watcher list of `topic`.
+    pub(crate) fn topic_watchers(&self, topic: &str) -> Arc<TopicWatchers> {
+        Arc::clone(
+            self.inner
+                .watchers
+                .lock()
+                .entry(topic.to_string())
+                .or_default(),
+        )
     }
 
     /// Current metadata for `topic`.
@@ -511,6 +546,37 @@ mod tests {
         let mut c = cluster.consumer("t", "fresh").unwrap();
         c.seek(0, 0);
         assert!(matches!(c.poll(10), Err(AccessError::Compacted(_, 0, _))));
+    }
+
+    #[test]
+    fn watchers_fire_on_every_send_until_dropped() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let cluster = AccessCluster::new(ClusterConfig::default());
+        cluster.create_topic("t", 3).unwrap();
+        cluster.create_topic("other", 1).unwrap();
+        // A producer made before the watch still notifies it.
+        let producer = cluster.producer("t").unwrap();
+        let other = cluster.producer("other").unwrap();
+        let fired = Arc::new(AtomicUsize::new(0));
+        let guard = {
+            let fired = Arc::clone(&fired);
+            cluster.watch(
+                "t",
+                Arc::new(move || {
+                    fired.fetch_add(1, Ordering::SeqCst);
+                }),
+            )
+        };
+        for i in 0..10u32 {
+            producer.send(Some(&i.to_le_bytes()), b"x").unwrap();
+        }
+        other.send(None, b"y").unwrap();
+        assert_eq!(fired.load(Ordering::SeqCst), 10, "one call per send");
+        assert_eq!(cluster.watcher_count("t"), 1);
+        drop(guard);
+        assert_eq!(cluster.watcher_count("t"), 0);
+        producer.send(None, b"z").unwrap();
+        assert_eq!(fired.load(Ordering::SeqCst), 10, "dropped watch is gone");
     }
 
     #[test]

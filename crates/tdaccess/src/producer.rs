@@ -2,9 +2,11 @@
 
 use crate::error::AccessError;
 use crate::master::{PartitionId, TopicMeta};
+use crate::watch::TopicWatchers;
 use crate::AccessCluster;
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A producer handle for one topic. Clones share the round-robin cursor.
 pub struct Producer {
@@ -14,6 +16,8 @@ pub struct Producer {
     clock_ms: AtomicU64,
     /// Per-partition `tdaccess_produced_total` counters, indexed by pid.
     produced: Vec<obs::Counter>,
+    /// The topic's append watchers, run after each successful append.
+    watchers: Arc<TopicWatchers>,
 }
 
 impl Producer {
@@ -28,12 +32,14 @@ impl Producer {
                 )
             })
             .collect();
+        let watchers = cluster.topic_watchers(&meta.name);
         Producer {
             cluster,
             meta,
             rr: AtomicU64::new(0),
             clock_ms: AtomicU64::new(0),
             produced,
+            watchers,
         }
     }
 
@@ -67,7 +73,9 @@ impl Producer {
         self.send_at(key, payload, ts)
     }
 
-    /// Sends a record with an explicit timestamp.
+    /// Sends a record with an explicit timestamp. Once the broker holds
+    /// the record (and its lock is released), the topic's append watchers
+    /// run on this thread.
     pub fn send_at(
         &self,
         key: Option<&[u8]>,
@@ -87,6 +95,7 @@ impl Producer {
         if let Some(c) = self.produced.get(pid as usize) {
             c.inc();
         }
+        self.watchers.notify();
         Ok((pid, offset))
     }
 

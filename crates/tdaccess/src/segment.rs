@@ -129,10 +129,13 @@ impl Segment {
             SegmentData::Spilled { path, .. } => {
                 let raw = fs::read(path)?;
                 let mut bytes = Bytes::from(raw);
+                // `out` may already hold earlier segments' records; the
+                // budget is what this segment pushes.
+                let limit = out.len() + max;
                 while let Some(m) = Message::decode(&mut bytes) {
                     if m.offset >= from {
                         out.push(m);
-                        if out.len() >= max {
+                        if out.len() >= limit {
                             break;
                         }
                     }
@@ -468,6 +471,29 @@ mod tests {
             assert_eq!(m.offset, i as u64);
             assert_eq!(m.payload, Bytes::from(format!("payload-{i}")));
         }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn read_across_spilled_segments_is_contiguous() {
+        let dir = std::env::temp_dir().join(format!("tdaccess-span-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = SegmentConfig {
+            max_messages: 8,
+            max_bytes: usize::MAX,
+            spill_dir: Some(dir.clone()),
+        };
+        let mut p = Partition::new("span-0", config);
+        for i in 0..32u64 {
+            p.append(None, Bytes::from(format!("m{i}")), i).unwrap();
+        }
+        p.seal_active().unwrap();
+        assert_eq!(p.spilled_count(), 4);
+        let msgs = p.read(6, 8).unwrap();
+        assert_eq!(
+            msgs.iter().map(|m| m.offset).collect::<Vec<_>>(),
+            (6..=13).collect::<Vec<_>>()
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 

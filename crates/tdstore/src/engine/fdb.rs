@@ -188,6 +188,32 @@ impl FdbEngine {
         self.inner.lock().file.sync_data()
     }
 
+    /// Keys starting with `prefix`, listed from the in-memory index
+    /// without reading any value from the log.
+    pub fn keys_with_prefix(&self, prefix: &[u8]) -> Vec<Vec<u8>> {
+        self.inner
+            .lock()
+            .index
+            .keys()
+            .filter(|k| k.starts_with(prefix))
+            .cloned()
+            .collect()
+    }
+
+    /// Whether `key` holds a value, answered from the in-memory index.
+    pub fn contains_key(&self, key: &[u8]) -> bool {
+        self.inner.lock().index.contains_key(key)
+    }
+
+    /// The first `n` bytes of `key`'s value (all of it when shorter),
+    /// reading only those bytes from the log.
+    pub fn get_head(&self, key: &[u8], n: usize) -> Option<Vec<u8>> {
+        let mut inner = self.inner.lock();
+        let (off, len) = *inner.index.get(key)?;
+        let head = len.min(u32::try_from(n).unwrap_or(u32::MAX));
+        Self::read_at(&mut inner, off, head).ok()
+    }
+
     fn read_at(inner: &mut FdbInner, offset: u64, len: u32) -> std::io::Result<Vec<u8>> {
         let mut buf = vec![0u8; len as usize];
         inner.file.seek(SeekFrom::Start(offset))?;
@@ -285,6 +311,31 @@ mod tests {
         conformance::update_semantics(&open("update"));
         conformance::prefix_scan(&open("scan"));
         conformance::many_keys(&open("many"));
+    }
+
+    #[test]
+    fn index_only_reads_list_and_peek_without_whole_values() {
+        let e = open("index");
+        e.put(b"snap:1", vec![1; 100]);
+        e.put(b"snap:2", vec![2; 100]);
+        e.put(b"delta:3", vec![3, 4, 5]);
+        e.delete(b"snap:1");
+        let mut keys = e.keys_with_prefix(b"snap:");
+        keys.sort();
+        assert_eq!(keys, vec![b"snap:2".to_vec()]);
+        assert!(e.contains_key(b"delta:3"));
+        assert!(!e.contains_key(b"snap:1"));
+        assert_eq!(e.get_head(b"snap:2", 4), Some(vec![2; 4]));
+        assert_eq!(
+            e.get_head(b"delta:3", 8),
+            Some(vec![3, 4, 5]),
+            "short value"
+        );
+        assert_eq!(e.get_head(b"snap:1", 4), None);
+        // Appends after a head read still land at the log end.
+        e.put(b"after", vec![9]);
+        assert_eq!(e.get(b"after"), Some(vec![9]));
+        assert_eq!(e.get(b"snap:2"), Some(vec![2; 100]));
     }
 
     #[test]

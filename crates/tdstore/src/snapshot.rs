@@ -243,17 +243,14 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decoded payload fields shared by both kinds.
-struct Decoded {
-    kind: SnapshotKind,
-    created_ms: u64,
-    offsets: Vec<u8>,
-    puts: StateEntries,
-    deletes: Vec<Vec<u8>>,
-}
+/// Length of a delta payload's header: `version:u32 | kind:u8 |
+/// created_ms:u64 | base_epoch:u64`. A full payload's header is the first
+/// 13 of these bytes.
+const DELTA_HEADER_LEN: usize = 21;
 
-fn decode_record(bytes: &[u8]) -> Option<Decoded> {
-    let mut cur = Cursor { bytes, pos: 0 };
+/// Decodes the header: `(kind, created_ms)`. `None` on an unknown
+/// version or kind, or a header cut short.
+fn decode_header(cur: &mut Cursor<'_>) -> Option<(SnapshotKind, u64)> {
     if cur.u32()? != PAYLOAD_VERSION {
         return None;
     }
@@ -266,6 +263,21 @@ fn decode_record(bytes: &[u8]) -> Option<Decoded> {
         },
         _ => return None,
     };
+    Some((kind, created_ms))
+}
+
+/// Decoded payload fields shared by both kinds.
+struct Decoded {
+    kind: SnapshotKind,
+    created_ms: u64,
+    offsets: Vec<u8>,
+    puts: StateEntries,
+    deletes: Vec<Vec<u8>>,
+}
+
+fn decode_record(bytes: &[u8]) -> Option<Decoded> {
+    let mut cur = Cursor { bytes, pos: 0 };
+    let (kind, created_ms) = decode_header(&mut cur)?;
     let off_len = cur.u32()? as usize;
     let offsets = cur.take(off_len)?.to_vec();
     let puts = cur.pairs()?;
@@ -292,17 +304,19 @@ fn decode_record(bytes: &[u8]) -> Option<Decoded> {
 
 /// Decodes a full payload: `(created_ms, offsets, state)`. Rejects
 /// deltas, truncation, trailing garbage, and unknown versions.
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg(test)]
 fn decode_payload(bytes: &[u8]) -> Option<(u64, Vec<u8>, StateEntries)> {
     let d = decode_record(bytes)?;
     matches!(d.kind, SnapshotKind::Full).then_some((d.created_ms, d.offsets, d.puts))
 }
 
 /// Decoded delta payload: `(created_ms, base_epoch, offsets, puts, deletes)`.
+#[cfg(test)]
 type DeltaParts = (u64, u64, Vec<u8>, StateEntries, Vec<Vec<u8>>);
 
 /// Decodes a delta payload. Rejects fulls, truncation, trailing garbage,
 /// and unknown versions.
+#[cfg(test)]
 fn decode_delta(bytes: &[u8]) -> Option<DeltaParts> {
     let d = decode_record(bytes)?;
     match d.kind {
@@ -526,43 +540,49 @@ impl SnapshotStore {
         self.load(self.latest()?.epoch)
     }
 
-    /// Published epochs (full and delta records), oldest first.
+    /// Published epochs (full and delta records), oldest first. Listed
+    /// from the engine's key index; no payload is read.
     pub fn epochs(&self) -> Vec<u64> {
         let decode = |prefix: &[u8], k: &[u8]| -> Option<u64> {
             Some(u64::from_le_bytes(
                 k.get(prefix.len()..prefix.len() + 8)?.try_into().ok()?,
             ))
         };
-        let mut out: Vec<u64> = self
-            .engine
-            .scan_prefix(SNAP_PREFIX)
+        let mut out: Vec<u64> = [SNAP_PREFIX, DELTA_PREFIX]
             .into_iter()
-            .filter_map(|(k, _)| decode(SNAP_PREFIX, &k))
-            .chain(
+            .flat_map(|prefix| {
                 self.engine
-                    .scan_prefix(DELTA_PREFIX)
+                    .keys_with_prefix(prefix)
                     .into_iter()
-                    .filter_map(|(k, _)| decode(DELTA_PREFIX, &k)),
-            )
+                    .filter_map(move |k| decode(prefix, &k))
+            })
             .collect();
         out.sort_unstable();
         out
     }
 
     /// The full-record epoch `epoch`'s chain resolves from, walking
-    /// delta links backwards. `None` when the chain is broken.
+    /// delta links backwards. `None` when the chain is broken. A full
+    /// record's existence comes from the key index and a delta's link
+    /// from its header alone, so no state is read.
     fn full_base(&self, epoch: u64) -> Option<u64> {
         let mut at = epoch;
         loop {
-            if self.engine.get(&snap_key(at)).is_some() {
+            if self.engine.contains_key(&snap_key(at)) {
                 return Some(at);
             }
-            let raw = self.engine.get(&delta_key(at))?;
-            let (_, base, ..) = decode_delta(&raw)?;
-            if base + 1 != at {
+            let head = self.engine.get_head(&delta_key(at), DELTA_HEADER_LEN)?;
+            let (kind, _) = decode_header(&mut Cursor {
+                bytes: &head,
+                pos: 0,
+            })?;
+            let SnapshotKind::Delta { base_epoch } = kind else {
+                return None;
+            };
+            if base_epoch + 1 != at {
                 return None;
             }
-            at = base;
+            at = base_epoch;
         }
     }
 

@@ -36,6 +36,10 @@ pub enum SpoutMsg {
     Activate,
     /// Close the spout and exit the task thread.
     Shutdown,
+    /// The spout's source has new data: poll now instead of waiting out
+    /// the idle backoff. Posted by [`crate::component::SpoutWaker`]; it is
+    /// neither an ack nor a fail, and a deactivated spout stays idle.
+    Wake,
 }
 
 /// One root registration: what `AckerMsg::Init` carries, batchable.

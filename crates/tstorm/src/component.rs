@@ -1,7 +1,11 @@
 //! Spout and bolt traits — the user-facing programming model.
 
+use crate::ack::SpoutMsg;
 use crate::collector::{BoltCollector, SpoutCollector};
 use crate::tuple::{Schema, Tuple};
+use crossbeam::channel::Sender;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Declaration of one output stream of a component.
 #[derive(Debug, Clone)]
@@ -35,17 +39,73 @@ pub struct TaskContext {
     pub task_index: usize,
     /// Total parallelism of the component.
     pub n_tasks: usize,
+    /// Wakes this spout task out of its idle wait (`None` for bolts). A
+    /// spout whose source can signal new data hands it to the source in
+    /// [`Spout::open`]; sources that cannot signal are polled on the idle
+    /// backoff instead.
+    pub waker: Option<SpoutWaker>,
+}
+
+/// Wakes one idle spout task so it polls its source now. Wakes coalesce:
+/// while a posted [`SpoutMsg::Wake`] is unread, further calls post
+/// nothing. The task clears the pending flag when it reads the Wake,
+/// before its next poll, so a wake that races an empty poll is never
+/// lost: either that poll sees the new data, or the wake finds the flag
+/// clear and posts a fresh Wake.
+#[derive(Clone)]
+pub struct SpoutWaker {
+    pending: Arc<AtomicBool>,
+    tx: Sender<SpoutMsg>,
+}
+
+impl SpoutWaker {
+    /// A waker posting to the spout control channel `tx`. The runtime
+    /// makes one per spout task; tests that drive a spout by hand can
+    /// make their own and read the Wakes from the channel.
+    pub fn new(tx: Sender<SpoutMsg>) -> Self {
+        SpoutWaker {
+            pending: Arc::new(AtomicBool::new(false)),
+            tx,
+        }
+    }
+
+    /// Asks the task to poll again. Cheap and non-blocking; callable from
+    /// any thread.
+    ///
+    /// The flag publishes no data. A source calls this after making the
+    /// data visible under its own lock, and the task's next poll takes
+    /// that lock after `clear`, so either the poll sees the data or this
+    /// swap sees the cleared flag and posts.
+    pub fn wake(&self) {
+        if !self.pending.swap(true, Ordering::AcqRel) {
+            let _ = self.tx.send(SpoutMsg::Wake);
+        }
+    }
+
+    /// Clears the pending flag; the task calls this on reading a Wake.
+    pub(crate) fn clear(&self) {
+        self.pending.store(false, Ordering::Release);
+    }
+}
+
+impl std::fmt::Debug for SpoutWaker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SpoutWaker")
+            .field("pending", &self.pending.load(Ordering::Relaxed))
+            .finish()
+    }
 }
 
 /// A source of tuples. One instance is created per task via the registered
 /// factory, so implementations may keep mutable per-task state freely.
 pub trait Spout: Send {
-    /// Called once before the first `next_tuple`.
+    /// Called once before the first `next_tuple`. `ctx.waker` is the
+    /// task's [`SpoutWaker`].
     fn open(&mut self, _ctx: &TaskContext) {}
 
     /// Emits zero or more tuples. Returns `false` when there was nothing to
-    /// emit, in which case the runtime backs off briefly before polling
-    /// again.
+    /// emit, in which case the runtime waits until the task's waker fires,
+    /// a control message arrives or the idle backoff expires.
     fn next_tuple(&mut self, collector: &mut SpoutCollector) -> bool;
 
     /// A tuple tree rooted at the message emitted with `msg_id` completed.

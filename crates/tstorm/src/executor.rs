@@ -18,7 +18,7 @@ use crate::collector::{
     BoltCollector, BoltMsg, ConsumerEdge, EmitterCore, OutputMap, SpoutCollector, StreamOutputs,
     TupleBatch, TupleMeta,
 };
-use crate::component::{Bolt, Spout, TaskContext};
+use crate::component::{Bolt, Spout, SpoutWaker, TaskContext};
 use crate::grouping::RoutingRule;
 use crate::metrics::{
     ComponentMetrics, LatencyHistogram, LatencySnapshot, MetricsRegistry, MetricsSnapshot,
@@ -36,8 +36,9 @@ use std::time::{Duration, Instant};
 /// Floor of the spout idle backoff: the first wait after going idle.
 const IDLE_BACKOFF_MIN: Duration = Duration::from_millis(1);
 /// Ceiling of the spout idle backoff. Control messages (acks, fails,
-/// shutdown) wake the spout immediately regardless; this only bounds how
-/// stale a *data* arrival can find the poll loop.
+/// shutdown) and data wakes from the task's [`SpoutWaker`] end the wait
+/// immediately; this only bounds how stale a data arrival can find a
+/// source that cannot signal.
 const IDLE_BACKOFF_MAX: Duration = Duration::from_millis(20);
 
 impl Topology {
@@ -318,6 +319,7 @@ impl Topology {
                     component: b.name.clone(),
                     task_index,
                     n_tasks: b.parallelism,
+                    waker: None,
                 };
                 let mut collector = BoltCollector {
                     core: EmitterCore::new(
@@ -441,10 +443,27 @@ impl Topology {
             for task_index in 0..s.parallelism {
                 let rx = spout_ctl_rxs[slot].clone();
                 let mut spout = (s.factory)();
+                let waker = SpoutWaker::new(spout_ctl_txs[slot].clone());
                 let ctx = TaskContext {
                     component: s.name.clone(),
                     task_index,
                     n_tasks: s.parallelism,
+                    waker: Some(waker.clone()),
+                };
+                let task = task_index.to_string();
+                let [data, control, timeout] = ["data", "control", "timeout"].map(|cause| {
+                    obs.counter(
+                        "tstorm_spout_wakeups_total",
+                        &[("component", &s.name), ("task", &task), ("cause", cause)],
+                        "Spout task wakeups by cause: a data wake from its source, a \
+                         control message ending an idle wait, or the backoff timeout.",
+                    )
+                });
+                let wakeups = Wakeups {
+                    waker,
+                    data,
+                    control,
+                    timeout,
                 };
                 let mut collector = SpoutCollector {
                     core: EmitterCore::new(
@@ -479,7 +498,7 @@ impl Topology {
                                 // Drain control messages without blocking.
                                 while let Ok(msg) = rx.try_recv() {
                                     if let Ctl::Shutdown =
-                                        handle_ctl(msg, &mut spout, &metrics, &mut active)
+                                        handle_ctl(msg, &mut spout, &metrics, &mut active, &wakeups)
                                     {
                                         return;
                                     }
@@ -528,20 +547,29 @@ impl Topology {
                                 } else {
                                     // Idle or deactivated: block on control
                                     // traffic with exponential backoff. Acks,
-                                    // fails and shutdown land on this channel,
-                                    // so they interrupt the wait immediately;
-                                    // only a silent source pays the full
-                                    // backoff before its next poll.
+                                    // fails, shutdown and data wakes land on
+                                    // this channel, so they interrupt the
+                                    // wait immediately; only a source that
+                                    // cannot signal pays the backoff before
+                                    // its next poll.
                                     match rx.recv_timeout(idle_wait) {
                                         Ok(msg) => {
+                                            if !matches!(msg, SpoutMsg::Wake) {
+                                                wakeups.control.inc();
+                                            }
                                             idle_wait = IDLE_BACKOFF_MIN;
-                                            if let Ctl::Shutdown =
-                                                handle_ctl(msg, &mut spout, &metrics, &mut active)
-                                            {
+                                            if let Ctl::Shutdown = handle_ctl(
+                                                msg,
+                                                &mut spout,
+                                                &metrics,
+                                                &mut active,
+                                                &wakeups,
+                                            ) {
                                                 return;
                                             }
                                         }
                                         Err(RecvTimeoutError::Timeout) => {
+                                            wakeups.timeout.inc();
                                             idle_wait = (idle_wait * 2).min(IDLE_BACKOFF_MAX);
                                         }
                                         Err(RecvTimeoutError::Disconnected) => {}
@@ -585,11 +613,24 @@ enum Ctl {
     Shutdown,
 }
 
+/// A spout task's waker and its `tstorm_spout_wakeups_total` counters.
+/// Every [`SpoutMsg::Wake`] the task receives counts as a `data` wakeup,
+/// whether it ends an idle wait or is drained between polls; `control`
+/// and `timeout` count only idle waits that other messages or the
+/// backoff ended.
+struct Wakeups {
+    waker: SpoutWaker,
+    data: obs::Counter,
+    control: obs::Counter,
+    timeout: obs::Counter,
+}
+
 fn handle_ctl(
     msg: SpoutMsg,
     spout: &mut Box<dyn Spout>,
     metrics: &ComponentMetrics,
     active: &mut bool,
+    wakeups: &Wakeups,
 ) -> Ctl {
     match msg {
         SpoutMsg::Ack(id) => {
@@ -608,6 +649,13 @@ fn handle_ctl(
         }
         SpoutMsg::Deactivate => *active = false,
         SpoutMsg::Activate => *active = true,
+        // Cleared before the poll that follows, so an append that poll
+        // misses posts a fresh Wake. The loop polls next anyway (unless
+        // deactivated).
+        SpoutMsg::Wake => {
+            wakeups.waker.clear();
+            wakeups.data.inc();
+        }
         SpoutMsg::Shutdown => {
             spout.close();
             return Ctl::Shutdown;

@@ -1,7 +1,13 @@
-//! Temporary probe: measures process CPU while a topology sits idle.
-//! Run with: cargo test -p tstorm --release --test idle_cpu_probe -- --nocapture --ignored
+//! Idle spouts poll on the backoff backstop only: a spout that never has
+//! data and gets no control traffic ends its idle waits by timeout, and
+//! the 1 → 20 ms exponential backoff bounds how many of those it can take
+//! in a window. A busy-polling regression (a lost cap, a reset on every
+//! empty poll) shows as far more timeout wakeups than the bound.
+//!
+//! The bound is counted from each wait's minimum length, so a slower host
+//! only takes fewer wakeups, never more.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tstorm::prelude::*;
 
 struct IdleSpout;
@@ -14,30 +20,48 @@ impl Spout for IdleSpout {
     }
 }
 
-fn cpu_jiffies() -> u64 {
-    let stat = std::fs::read_to_string("/proc/self/stat").unwrap();
-    // utime is field 14, stime field 15 (1-indexed); fields after comm (in parens).
-    let after = stat.rsplit(')').next().unwrap();
-    let f: Vec<&str> = after.split_whitespace().collect();
-    f[11].parse::<u64>().unwrap() + f[12].parse::<u64>().unwrap()
+const SPOUTS: usize = 4;
+
+fn wakeups(registry: &obs::Registry, task: usize, cause: &str) -> u64 {
+    let task = task.to_string();
+    registry
+        .counter_value(
+            "tstorm_spout_wakeups_total",
+            &[("component", "s"), ("task", &task), ("cause", cause)],
+        )
+        .unwrap_or(0)
 }
 
 #[test]
-#[ignore]
-fn idle_cpu() {
+fn idle_spouts_wake_only_on_the_backoff() {
     let mut b = TopologyBuilder::new();
-    b.set_spout("s", || IdleSpout, 4);
+    b.set_spout("s", || IdleSpout, SPOUTS);
     b.set_bolt("b", || |_t: &Tuple, _c: &mut BoltCollector| Ok(()), 4)
         .shuffle_grouping("s");
     let handle = b.build().unwrap().launch();
-    std::thread::sleep(Duration::from_millis(300)); // settle
-    let t0 = std::time::Instant::now();
-    let j0 = cpu_jiffies();
-    std::thread::sleep(Duration::from_secs(4));
-    let j1 = cpu_jiffies();
-    let wall = t0.elapsed().as_secs_f64();
-    let hz = 100.0; // USER_HZ
-    let cpu_pct = (j1 - j0) as f64 / hz / wall * 100.0;
-    println!("IDLE_CPU_PCT {cpu_pct:.2}");
+    let registry = handle.registry();
+    let t0 = Instant::now();
+    let before: Vec<u64> = (0..SPOUTS)
+        .map(|t| wakeups(&registry, t, "timeout"))
+        .collect();
+    std::thread::sleep(Duration::from_secs(1));
+    let after: Vec<u64> = (0..SPOUTS)
+        .map(|t| wakeups(&registry, t, "timeout"))
+        .collect();
+    let window = t0.elapsed();
+    // From the first idle wait on: 1 + 2 + 4 + 8 + 16 ms of ramp, then
+    // one wakeup per 20 ms at the cap. Two extra per task allow for a
+    // wait that straddles each end of the window.
+    let bound = 5 + window.as_millis() as u64 / 20 + 2;
+    for task in 0..SPOUTS {
+        let taken = after[task] - before[task];
+        assert!(
+            taken <= bound,
+            "spout task {task} took {taken} timeout wakeups in {window:?} (bound {bound})"
+        );
+        assert!(taken > 0, "spout task {task} never polled while idle");
+        assert_eq!(wakeups(&registry, task, "data"), 0, "no source signals");
+        assert_eq!(wakeups(&registry, task, "control"), 0, "no control traffic");
+    }
     handle.shutdown(Duration::from_secs(2));
 }

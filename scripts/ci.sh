@@ -143,6 +143,23 @@ echo "    incremental restart OK ($(grep -c '^tsnap\|^tdaccess' <<<"$inc_out") m
 echo "==> time-to-recover + delta-ratio gate (smoke)"
 cargo run --release -p bench --bin recovery_bench -- --smoke --check
 
+# Pipeline benchmark stage: pipebench is a cargo workspace of its own,
+# so the workspace test run above does not reach it. Its oracle test
+# checks the benchmark's Eq. 3-5 oracle against ExplicitItemCF; one short
+# `restart` run then checks the drained state against that oracle and
+# counts its operations, including the lagging reader whose read crosses
+# spilled segments. Both must pass with no failed operation.
+echo "==> pipebench oracle test + restart smoke"
+cargo test --offline --release --quiet --manifest-path pipebench/Cargo.toml
+pb_out="$(cargo run --offline --release --quiet --manifest-path pipebench/Cargo.toml -- \
+    --workload restart --seconds 5 2>/dev/null | tail -n 1)"
+if ! grep -q '"correct": true' <<<"$pb_out" || ! grep -q '"failed": 0,' <<<"$pb_out"; then
+    echo "PIPEBENCH FAILURE: restart run not correct or has failed operations:" >&2
+    echo "$pb_out" >&2
+    exit 1
+fi
+echo "    pipebench restart OK ($(grep -o '"attempted": [0-9]*' <<<"$pb_out"), failed 0)"
+
 # Throughput gate: a smoke-size batch-transport run must stay within 20%
 # of the committed BENCH_topology.json baseline, allocate at most 3.1
 # allocations per tuple on the batched shuffle edge, and keep the
